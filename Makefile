@@ -40,7 +40,7 @@ bench:
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/wal -run '^$$' -bench 'WALAppend' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
+	$(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" < /tmp/bench_scan.txt > BENCH_scan.json
 
 # bench-serve records serving-tier latency under load: floodload starts an
 # in-process floodserver over a 1M-row sales dataset and drives a fixed-QPS

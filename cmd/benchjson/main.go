@@ -6,6 +6,10 @@
 //
 //	go test ./internal/core -bench X -benchmem -run '^$' | go run ./cmd/benchjson > BENCH_scan.json
 //
+// The input may span several packages; each benchmark records the package
+// it ran in and its GOMAXPROCS. -commit REV stamps the document with the
+// commit measured.
+//
 // With -serve FILE, the serving benchmark document written by floodload
 // (BENCH_serve.json) is embedded alongside the parsed microbenchmarks, so
 // one merged document carries both scan and serving numbers:
@@ -18,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,7 +30,13 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package the benchmark ran in: the `pkg:` header that last
+	// preceded its line, since `go test` prints one per package.
+	Pkg string `json:"pkg,omitempty"`
+	// Procs is GOMAXPROCS during the run, from the -N name suffix; 0 when
+	// the name carries none.
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
@@ -34,9 +45,9 @@ type Benchmark struct {
 
 // Report is the emitted document.
 type Report struct {
+	Commit     string      `json:"commit,omitempty"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// Serve embeds a floodload serving report (-serve FILE), verbatim.
@@ -45,8 +56,14 @@ type Report struct {
 
 func main() {
 	servePath := flag.String("serve", "", "embed this floodload BENCH_serve.json document in the output")
+	commit := flag.String("commit", "", "record this commit, e.g. the output of git rev-parse --short HEAD, in the document")
 	flag.Parse()
-	var rep Report
+	rep, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
+		os.Exit(1)
+	}
+	rep.Commit = *commit
 	if *servePath != "" {
 		raw, err := os.ReadFile(*servePath)
 		if err != nil {
@@ -59,7 +76,20 @@ func main() {
 		}
 		rep.Serve = json.RawMessage(raw)
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads a `go test -bench` transcript, which may cover several
+// packages, and attributes each benchmark to the package it ran in.
+func parse(r io.Reader) (Report, error) {
+	var rep Report
+	pkg := ""
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -69,25 +99,17 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return rep, sc.Err()
 }
 
 // parseLine parses e.g.
@@ -103,13 +125,12 @@ func parseLine(line string) (Benchmark, bool) {
 	if err1 != nil || err2 != nil {
 		return Benchmark{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the -GOMAXPROCS suffix
+	b := Benchmark{Name: fields[0], Iterations: iters, NsPerOp: ns}
+	if i := strings.LastIndex(b.Name, "-"); i > 0 {
+		if procs, err := strconv.Atoi(b.Name[i+1:]); err == nil {
+			b.Name, b.Procs = b.Name[:i], procs
 		}
 	}
-	b := Benchmark{Name: name, Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseInt(fields[i], 10, 64)
 		if err != nil {

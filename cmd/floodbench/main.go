@@ -7,8 +7,7 @@
 //	floodbench -experiment all -fast
 //
 // Each experiment prints the same rows/series as the corresponding paper
-// artifact; see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// artifact; -list prints the experiment index.
 package main
 
 import (

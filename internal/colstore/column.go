@@ -107,16 +107,19 @@ func (c *Column) Get(i int) int64 {
 	if w == 0 {
 		return c.mins[b]
 	}
-	r := uint(i % BlockSize)
-	pos := uint(c.offsets[b])*64 + r*w
+	pos := uint(c.offsets[b])*64 + uint(i%BlockSize)*w
+	return c.mins[b] + int64(unpack(c.words, pos, w))
+}
+
+// unpack returns the w-bit delta packed at bit position pos of words.
+func unpack(words []uint64, pos, w uint) uint64 {
 	wi := pos >> 6
 	off := pos & 63
-	delta := c.words[wi] >> off
+	delta := words[wi] >> off
 	if off+w > 64 {
-		delta |= c.words[wi+1] << (64 - off)
+		delta |= words[wi+1] << (64 - off)
 	}
-	delta &= mask(w)
-	return c.mins[b] + int64(delta)
+	return delta & mask(w)
 }
 
 // DecodeBlock decodes block b into out and returns the number of valid
@@ -203,30 +206,56 @@ func (c *Column) Decode() []int64 {
 
 // LowerBound returns the smallest index i in [start, end) with Get(i) >= v,
 // or end if no such index exists. The rows [start, end) must be sorted
-// ascending. The search runs at row granularity until the remaining window
-// fits inside one compression block, which is then decoded once and finished
-// in-cache — cheaper than repeated bit-unpacking probes.
+// ascending; rows outside the window may hold anything. A block lying wholly
+// inside the window starts with its zone-map minimum, so a binary search over
+// those minima finds the one block holding the answer without unpacking any
+// data; a binary search inside that block (or inside a partial block at
+// either edge of the window) then unpacks one value per probe. Edge blocks
+// may hold other rows, so their zone maps never steer the search.
 func (c *Column) LowerBound(start, end int, v int64) int {
-	lo, hi := start, end
-	for lo < hi && lo/BlockSize != (hi-1)/BlockSize {
-		mid := int(uint(lo+hi) >> 1)
-		if c.Get(mid) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if start >= end {
+		return start
+	}
+	first, last := start/BlockSize, (end-1)/BlockSize
+	b := first
+	if first != last {
+		// Find the first interior block whose first row is >= v; the answer
+		// lies in the block before it. When there is none, the answer lies
+		// in the last block if the row just before it is still below v.
+		lo, hi := first+1, last
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if c.mins[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		b = lo - 1
+		if lo == last && c.Get(last*BlockSize-1) < v {
+			b = last
 		}
 	}
-	if lo >= hi {
-		return lo
+	return c.blockLowerBound(b, max(start, b*BlockSize), min(end, (b+1)*BlockSize), v)
+}
+
+// blockLowerBound is LowerBound over rows [lo, hi) of block b, unpacking one
+// value per probe with the block's metadata loaded once.
+func (c *Column) blockLowerBound(b, lo, hi int, v int64) int {
+	minV := c.mins[b]
+	w := uint(c.widths[b])
+	if w == 0 {
+		if minV >= v {
+			return lo
+		}
+		return hi
 	}
-	b := lo / BlockSize
+	bitBase := uint(c.offsets[b]) * 64
 	base := b * BlockSize
-	var buf [BlockSize]int64
-	c.DecodeBlock(b, buf[:])
 	i, j := lo-base, hi-base
 	for i < j {
 		mid := int(uint(i+j) >> 1)
-		if buf[mid] < v {
+		if minV+int64(unpack(c.words, bitBase+uint(mid)*w, w)) < v {
 			i = mid + 1
 		} else {
 			j = mid
@@ -236,31 +265,38 @@ func (c *Column) LowerBound(start, end int, v int64) int {
 }
 
 // LowerBoundHint is LowerBound seeded with a predicted position (e.g. from a
-// learned model): an exponential search brackets the answer around hint, then
-// the block-decoded binary search finishes inside the bracket. hint is
-// clamped into [start, end].
+// learned model), which may lie anywhere, even outside [start, end). An
+// exponential search gallops outward over the minima of the blocks wholly
+// inside the window, starting at the hint's block, to bracket the answer
+// without unpacking any data; LowerBound then finishes inside the bracket.
 func (c *Column) LowerBoundHint(start, end, hint int, v int64) int {
-	if hint < start {
-		hint = start
+	first, last := start/BlockSize, (end-1)/BlockSize
+	if last-first < 2 {
+		return c.LowerBound(start, end, v)
 	}
-	if hint > end {
-		hint = end
-	}
-	lo, hi := hint, hint
-	width := 1
-	for lo > start && c.Get(lo-1) >= v {
-		lo -= width
-		width <<= 1
-		if lo < start {
-			lo = start
+	b := min(max(hint/BlockSize, first+1), last-1)
+	lo, hi := start, end
+	if c.mins[b] < v {
+		for step := 1; ; step <<= 1 {
+			lo = b * BlockSize
+			if b += step; b >= last {
+				break
+			}
+			if c.mins[b] >= v {
+				hi = b * BlockSize
+				break
+			}
 		}
-	}
-	width = 1
-	for hi < end && c.Get(hi) < v {
-		hi += width
-		width <<= 1
-		if hi > end {
-			hi = end
+	} else {
+		for step := 1; ; step <<= 1 {
+			hi = b * BlockSize
+			if b -= step; b <= first {
+				break
+			}
+			if c.mins[b] < v {
+				lo = b * BlockSize
+				break
+			}
 		}
 	}
 	return c.LowerBound(lo, hi, v)

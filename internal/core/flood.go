@@ -516,9 +516,12 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) []scanR
 const refineParallelRanges = 128
 
 // refine implements §3.2.2 / §5.2: narrow each range along the sort
-// dimension, mutating ranges in place. Model predictions (or plain binary
-// search) are rectified through the column's block-decoded lower-bound
-// search — no per-probe accessor closures. When parallel is set, queries
+// dimension, mutating ranges in place. Both ends of a range are found by
+// the column's zone-map-steered lower-bound search: a binary search over the
+// minima of the blocks inside the cell picks one block, and a search inside
+// it unpacks one value per probe — no block decoding and no per-probe
+// accessor closures. Under RefineModel the cell's model prediction seeds a
+// gallop over those minima first. When parallel is set, queries
 // touching many cells spread the probes per-range over the worker pool:
 // ranges are independent, so results match the sequential loop exactly.
 func (f *Flood) refine(q query.Query, ranges []scanRange, st *query.Stats, parallel bool) {

@@ -8,9 +8,10 @@ import (
 	"flood/internal/query"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// refinement strategy (learned PLM vs binary search vs none) and flattening
-// (CDF vs equi-width columns). Run with:
+// Ablation benchmarks for the paper's design choices (§5): the refinement
+// strategy (learned PLM vs binary search vs none) and flattening (CDF vs
+// equi-width columns). docs/BENCHMARKS.md says what each one measures. Run
+// with:
 //
 //	go test ./internal/core -bench Ablation -benchmem
 

@@ -98,13 +98,19 @@ func TestFloodMatchesBruteForce(t *testing.T) {
 	tbl, data := makeData(t, 3000, 4, 1)
 	rng := rand.New(rand.NewSource(2))
 	for li, layout := range layoutsUnderTest() {
+		qs := make([]query.Query, 120)
+		for i := range qs {
+			qs[i] = randomQuery(rng, data, 4)
+		}
+		// Model-hinted and plain binary refinement must narrow every cell to
+		// the same rows, so their work counts agree query by query.
+		var modelStats []query.Stats
 		for _, mode := range []RefinementMode{RefineModel, RefineBinary, RefineNone} {
 			idx, err := Build(tbl, layout, Options{Refinement: mode})
 			if err != nil {
 				t.Fatalf("layout %d: %v", li, err)
 			}
-			for trial := 0; trial < 40; trial++ {
-				q := randomQuery(rng, data, 4)
+			for trial, q := range qs {
 				agg := query.NewCount()
 				st := idx.Execute(q, agg)
 				want := bruteCount(data, q)
@@ -117,6 +123,15 @@ func TestFloodMatchesBruteForce(t *testing.T) {
 				}
 				if st.Scanned < st.Matched {
 					t.Fatalf("layout %d: scanned %d < matched %d", li, st.Scanned, st.Matched)
+				}
+				switch mode {
+				case RefineModel:
+					modelStats = append(modelStats, st)
+				case RefineBinary:
+					if m := modelStats[trial]; m.Scanned != st.Scanned || m.Matched != st.Matched {
+						t.Fatalf("layout %d (%s) query %+v: RefineModel scanned/matched %d/%d, RefineBinary %d/%d",
+							li, layout, q.Ranges, m.Scanned, m.Matched, st.Scanned, st.Matched)
+					}
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package dataset generates the four evaluation datasets of §7.3 plus the
 // uniform synthetic data of §7.5. Two of the paper's datasets are
-// proprietary (sales, perfmon) and one is a large public dump (OSM); per
-// DESIGN.md §3 they are replaced with synthetic generators matching the
+// proprietary (sales, perfmon) and one is a large public dump (OSM), so
+// they are replaced with synthetic generators matching the
 // distributional characteristics the paper reports. All values are int64
 // (§7.1): dates become day/second offsets, money becomes cents, coordinates
 // become 1e6-scaled fixed-point, and categorical values are dictionary
